@@ -1,6 +1,6 @@
 # Convenience targets; CI runs the same commands.
 
-.PHONY: test race leap-race-matrix alloc-gate fuzz fault-smoke bench-smoke bench-json flowtrace-smoke
+.PHONY: test race leap-race alloc-gate fuzz fault-smoke bench-smoke flowtrace-smoke
 
 test:
 	go build ./... && go test ./...
@@ -8,36 +8,31 @@ test:
 race:
 	go test -race -short ./...
 
-# The PDES window correctness matrix CI runs cell by cell: the leap
-# package's full suite under -race across worker counts × window
-# off/on, pinned via the LEAP_TEST_* environment knobs.
-# LEAP_TEST_FAULTS=1 bounds the fault property sweep to one seed per
-# cell (the cell's (workers, window) pin still applies to it).
-leap-race-matrix:
-	for w in 1 2 8; do for win in 1 8; do \
-		echo "=== workers=$$w window=$$win"; \
-		LEAP_TEST_WORKERS=$$w LEAP_TEST_WINDOW=$$win LEAP_TEST_FAULTS=1 go test -race ./internal/leap/ || exit 1; \
-	done; done
+# The leap package's full suite (fuzz seed corpora included) under
+# -race, as CI runs it. LEAP_TEST_FAULTS=1 bounds the fault property
+# sweep to one seed.
+leap-race:
+	LEAP_TEST_FAULTS=1 go test -race ./internal/leap/
 
 # The zero-allocation steady-state pins: AllocsPerOp == 0 for a full
 # churn wave through the leap engine with hooks detached (and bounded
 # with the full obs stack attached), plus the per-event ReadMemStats
 # bounds and the table-recycling invariants behind them.
 alloc-gate:
-	go test -v -run 'TestAllocsPerOpSteadyState|TestReleaseFinishedRecycles|TestSteadyStateAllocations|TestPoolSteadyStateAllocations' -count=1 ./internal/leap/
+	go test -v -run 'TestAllocsPerOpSteadyState|TestReleaseFinishedRecycles|TestSteadyStateAllocations|TestBurstSteadyStateAllocations' -count=1 ./internal/leap/
 
-# Explore the windowed-vs-serial and fault-injection fuzz targets
+# Explore the component-local-vs-global and fault-injection fuzz targets
 # beyond their committed seed corpora (CI runs 30s per target per
 # push; run longer locally when touching the event loop or the fault
 # path).
 fuzz:
-	go test -run '^$$' -fuzz FuzzWindowedMatchesSerial -fuzztime 60s ./internal/leap/
+	go test -run '^$$' -fuzz FuzzComponentLocalMatchesGlobal -fuzztime 60s ./internal/leap/
 	go test -run '^$$' -fuzz FuzzFaultSchedule -fuzztime 60s ./internal/leap/
 
 # Fault-injection smoke: the leap fault test suite (property, analytic,
 # and lost-service identity tests) plus the end-to-end example —
 # scripted switch/link faults, stranded-flow resume, byte-identical
-# parallel windowed replay.
+# Global replay.
 fault-smoke:
 	go test -run 'TestFault|TestStranded|TestNested|TestSameInstant|TestAllocatorsZeroCapacity|TestAllocatorCapacityRecovery|TestGroupResplitOnDeadLink' \
 		-count=1 ./internal/leap/ ./internal/fluid/
@@ -46,17 +41,11 @@ fault-smoke:
 # One full iteration of each leap benchmark, with their built-in
 # accuracy/identity assertions.
 bench-smoke:
-	go test -run '^$$' -bench 'BenchmarkLeap(FCT|Components|Parallel)' -benchtime 1x .
+	go test -run '^$$' -bench 'BenchmarkLeap(FCT|Components)' -benchtime 1x .
 
-# Regenerate the perf-trajectory record (the workload × workers ×
-# window matrix, FCT-checked against serial).
-bench-json:
-	go run ./cmd/benchjson -out BENCH_leap.json -repeat 3
-
-# End-to-end flow-tracing smoke: a windowed leapfct run writing a
+# End-to-end flow-tracing smoke: a leapfct run writing a
 # flow-lifecycle trace, analyzed by flowreport (CI's obs-smoke job
 # runs the same pair plus live endpoint scrapes).
 flowtrace-smoke:
-	go run ./cmd/numfabric -experiment leapfct -workers 4 -window 8 \
-		-flowtrace-out /tmp/flowtrace.jsonl
+	go run ./cmd/numfabric -experiment leapfct -flowtrace-out /tmp/flowtrace.jsonl
 	go run ./cmd/flowreport /tmp/flowtrace.jsonl

@@ -585,81 +585,6 @@ func BenchmarkLeapComponents(b *testing.B) {
 	b.ReportMetric(avgComp, "avg-component")
 }
 
-// BenchmarkLeapParallel is the multi-core leap engine's headline: the
-// dense component workload at BenchmarkLeapComponents' scale — 200k
-// web-search-sized flows at 10% load on a k=8 fat-tree — arranged as
-// synchronized coflows (FatTreeCoflows: grid instants of eight 8-flow
-// fan-in bursts, sizes in power-of-two classes). Synchronization is
-// what event batching feeds on: a continuous Poisson schedule gives
-// every event its own timestamp, so same-instant batches would be
-// vacuous, while here every arrival instant floods into many
-// link-disjoint components and bursts sharing a size class complete
-// in shared instants too. The schedule runs once serial (Workers: 1)
-// and once with one worker per core over the fat-tree's leaf-local
-// link shards: completions must be byte-identical, and on a machine
-// with ≥ 4 cores the parallel run must beat the serial one by ≥ 1.5×
-// wall-clock (the flood and the event loop stay serial, so Amdahl
-// caps the win well below core count).
-func BenchmarkLeapParallel(b *testing.B) {
-	const (
-		nflows  = 200_000
-		load    = 0.10
-		senders = 8
-		bursts  = 8
-	)
-	cores := runtime.GOMAXPROCS(0)
-	var serialRate, parRate, speedup, batchW float64
-	var parStats leap.Stats
-	for i := 0; i < b.N; i++ {
-		ft := fluid.NewFatTree(8, 10e9)
-		arrivals, paths := harness.FatTreeCoflows(ft, load, nflows, senders, bursts, sim.NewRNG(uint64(i)+1))
-
-		run := func(workers int) ([]*fluid.Flow, leap.Stats, float64) {
-			eng := leap.NewEngine(ft.Net, leap.Config{
-				Allocator:  fluid.NewWaterFill(),
-				Workers:    workers,
-				LinkShards: ft.LinkShards(),
-			})
-			flows := make([]*fluid.Flow, len(arrivals))
-			for j, a := range arrivals {
-				flows[j] = eng.AddFlow(paths[j], core.ProportionalFair(), a.Size, a.At.Seconds())
-			}
-			// Time the run alone: schedule loading is identical for
-			// every worker count.
-			runtime.GC()
-			wall := time.Now()
-			eng.Run(math.Inf(1))
-			return flows, eng.Stats(), time.Since(wall).Seconds()
-		}
-		sFlows, _, sWall := run(1)
-		pFlows, pStats, pWall := run(cores)
-
-		// The hard guarantee first: parallelism must not move a single
-		// completion time by a single bit.
-		for j := range sFlows {
-			if sFlows[j].Finish != pFlows[j].Finish {
-				b.Fatalf("flow %d: parallel finish %v != serial %v",
-					j, pFlows[j].Finish, sFlows[j].Finish)
-			}
-		}
-		serialRate = float64(len(sFlows)) / sWall
-		parRate = float64(len(pFlows)) / pWall
-		speedup = sWall / pWall
-		batchW = float64(pStats.BatchComponents) / math.Max(float64(pStats.Batches), 1)
-		parStats = pStats
-		if cores >= 4 && speedup < 1.5 {
-			b.Errorf("parallel speedup %.2fx < 1.5x with %d workers on %d cores", speedup, cores, cores)
-		}
-	}
-	b.ReportMetric(serialRate, "serial-flows/s")
-	b.ReportMetric(parRate, "parallel-flows/s")
-	b.ReportMetric(speedup, "speedup-vs-serial")
-	b.ReportMetric(batchW, "avg-batch-components")
-	b.ReportMetric(float64(parStats.MaxBatchComponents), "max-batch-components")
-	b.ReportMetric(float64(parStats.ParallelSolves), "parallel-solves")
-	b.ReportMetric(float64(parStats.MaxConcurrentComponents), "max-concurrent")
-}
-
 // BenchmarkFluidPooling runs the ≥10k-subflow multipath fat-tree
 // resource-pooling scenario — 1280 aggregate flow groups, each
 // pooling 8 ECMP subflows under one proportional-fair utility of the

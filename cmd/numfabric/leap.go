@@ -34,19 +34,15 @@ func runLeapFCT(full bool, seed uint64) {
 	}
 	cfg := harness.DefaultConfig(harness.NUMFabric, harness.ScaledTopology())
 	ft := fluid.NewFatTree(k, linkRate)
-	nworkers := harness.LeapWorkers(workers)
-	fmt.Printf("leap-engine FCT sweep: k=%d fat-tree (%d hosts), websearch, %d flows per load, %d workers, window %d\n",
-		k, ft.Hosts(), nflows, nworkers, window)
-	fmt.Printf("%-6s %10s %10s %10s %12s %10s %9s %8s %8s %9s %8s %7s %8s %7s %7s %7s %10s\n",
+	fmt.Printf("leap-engine FCT sweep: k=%d fat-tree (%d hosts), websearch, %d flows per load\n",
+		k, ft.Hosts(), nflows)
+	fmt.Printf("%-6s %10s %10s %10s %12s %10s %9s %8s %8s %9s %7s %7s %7s %10s\n",
 		"load", "medNorm", "p95Norm", "flows/s", "events", "allocs", "avgComp", "maxComp", "workX",
-		"batchW", "parSlv", "winW", "winConf", "flood%", "solve%", "compl%", "wall")
+		"batchW", "flood%", "solve%", "compl%", "wall")
 	tab := trace.NewTable("load", "median_norm_fct", "p95_norm_fct", "flows_per_s",
 		"events", "allocs", "solved_flows", "max_component", "elided", "full_solve_flows",
-		"workers", "batches", "parallel_solves",
-		"window", "windows", "window_instants", "max_window_instants", "window_conflicts",
-		"gate_serial", "gate_parallel",
+		"batches",
 		"admit_ns", "flood_ns", "solve_ns", "resplice_ns", "complete_ns", "drain_ns", "loop_ns",
-		"window_ns",
 		"p99_norm_fct", "tail_flows", "tail_link", "tail_link_share")
 	// The flow tracer behind the slowdown-attribution lines: the
 	// CLI-level one when -flowtrace-out/-debug-addr asked for it (reset
@@ -68,11 +64,8 @@ func runLeapFCT(full bool, seed uint64) {
 		tracer.SetLinkName(ft.LinkName)
 		hooks.FlowTrace = tracer
 		eng := leap.NewEngine(ft.Net, leap.Config{
-			Allocator:  harness.LeapAllocatorFor(cfg),
-			Workers:    nworkers,
-			Window:     window,
-			LinkShards: ft.LinkShards(),
-			Obs:        hooks,
+			Allocator: harness.LeapAllocatorFor(cfg),
+			Obs:       hooks,
 		})
 		for i, a := range arrivals {
 			eng.AddFlow(paths[i], core.FCTMin(a.Size, 0.125), a.Size, a.At.Seconds())
@@ -91,26 +84,19 @@ func runLeapFCT(full bool, seed uint64) {
 		// avgComp is the mean flows per allocator solve; workX the
 		// factor saved against re-solving the full active set at every
 		// coupled event (the engine's global-counterfactual counter);
-		// batchW the mean disjoint components per reallocation batch —
-		// the parallelism the workload exposes — and parSlv the solves
-		// that actually ran on the worker pool.
+		// batchW the mean disjoint components per reallocation batch.
 		avgComp := float64(s.SolvedFlows) / math.Max(float64(s.Allocs), 1)
 		workX := float64(s.FullSolveFlows) / math.Max(float64(s.SolvedFlows), 1)
 		batchW := float64(s.BatchComponents) / math.Max(float64(s.Batches), 1)
-		// winW is the mean event instants absorbed per PDES window —
-		// the cross-time parallelism the lookahead exposes (1.0 when
-		// windowing is off); winConf the windows the safety bound cut.
-		winW := float64(s.WindowInstants) / math.Max(float64(s.Windows), 1)
 		// Phase shares: where the event loop's wall time went, as a
 		// fraction of the profiled total (the laps tile Run, so the
 		// shares account for essentially all of it).
 		ph := s.PhaseNanos
 		total := math.Max(float64(hooks.Profiler.TotalNanos()), 1)
 		pct := func(p obs.Phase) float64 { return 100 * float64(ph[p]) / total }
-		fmt.Printf("%-6.2f %10.2f %10.2f %10.0f %12d %10d %9.1f %8d %8.1f %9.2f %8d %7.2f %8d %6.1f%% %6.1f%% %6.1f%% %10v\n",
+		fmt.Printf("%-6.2f %10.2f %10.2f %10.0f %12d %10d %9.1f %8d %8.1f %9.2f %6.1f%% %6.1f%% %6.1f%% %10v\n",
 			load, med, p95, rate, s.Events, s.Allocs, avgComp, s.MaxComponent, workX,
-			batchW, s.ParallelSolves, winW, s.WindowConflicts,
-			pct(obs.PhaseFlood), pct(obs.PhaseSolve), pct(obs.PhaseComplete),
+			batchW, pct(obs.PhaseFlood), pct(obs.PhaseSolve), pct(obs.PhaseComplete),
 			elapsed.Round(time.Millisecond))
 		// Tail-latency attribution: where the slowest 1% of traced flows
 		// lost their service time, by bottleneck link. The slowest-K
@@ -132,13 +118,10 @@ func runLeapFCT(full bool, seed uint64) {
 		}
 		_ = tab.Append(load, med, p95, rate, float64(s.Events), float64(s.Allocs),
 			float64(s.SolvedFlows), float64(s.MaxComponent), float64(s.Elided), float64(s.FullSolveFlows),
-			float64(nworkers), float64(s.Batches), float64(s.ParallelSolves),
-			float64(window), float64(s.Windows), float64(s.WindowInstants),
-			float64(s.MaxWindowInstants), float64(s.WindowConflicts),
-			float64(s.GateSerial), float64(s.GateParallel),
+			float64(s.Batches),
 			float64(ph[obs.PhaseAdmit]), float64(ph[obs.PhaseFlood]), float64(ph[obs.PhaseSolve]),
 			float64(ph[obs.PhaseResplice]), float64(ph[obs.PhaseComplete]), float64(ph[obs.PhaseDrain]),
-			float64(ph[obs.PhaseLoop]), float64(ph[obs.PhaseWindow]),
+			float64(ph[obs.PhaseLoop]),
 			p99, float64(tailN), tailLink, tailShare)
 	}
 	writeCSV("leapfct.csv", tab)

@@ -39,9 +39,8 @@ func runLeapFail(full bool, seed uint64) {
 	}
 	const meanDowntime = 5 * sim.Millisecond
 	cfg := harness.DefaultConfig(harness.NUMFabric, harness.ScaledTopology())
-	nworkers := harness.LeapWorkers(workers)
-	fmt.Printf("leap fault injection: k=%d fat-tree, websearch load %.2f, %d flows, mean downtime %v, %d workers, window %d\n",
-		k, load, nflows, meanDowntime, nworkers, window)
+	fmt.Printf("leap fault injection: k=%d fat-tree, websearch load %.2f, %d flows, mean downtime %v\n",
+		k, load, nflows, meanDowntime)
 	fmt.Printf("%-10s %7s %8s %8s %8s %9s %10s %9s %8s %8s %6s %9s\n",
 		"failrate", "faults", "stranded", "resumed", "ttr(ms)", "strand(s)", "lost(Gb·s)", "allocs", "medNorm", "p95Norm", "unfin", "wall")
 	tab := trace.NewTable("fail_rate", "faults", "links_down", "stranded", "resumed",
@@ -64,11 +63,8 @@ func runLeapFail(full bool, seed uint64) {
 			tracer.SetLinkName(ft.LinkLabel)
 		}
 		eng := leap.NewEngine(ft.Net, leap.Config{
-			Allocator:  harness.LeapAllocatorFor(cfg),
-			Workers:    nworkers,
-			Window:     window,
-			LinkShards: ft.LinkShards(),
-			Obs:        hooks,
+			Allocator: harness.LeapAllocatorFor(cfg),
+			Obs:       hooks,
 		})
 		harness.ScheduleFaults(eng, mkFaults(ft, horizon))
 		for i, a := range arrivals {

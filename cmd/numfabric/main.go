@@ -14,14 +14,6 @@
 // -faults "target@time[+downtime],..." — a scripted list of link/
 // switch faults (targets linkN, hostN, edgeP.E, aggP.A, coreC).
 //
-// -workers bounds the leap engine's parallel solves of the disjoint
-// link-sharing components touched by one event batch (0, the default,
-// uses every core; 1 forces a serial run; FCTs are byte-identical
-// either way). -window sets the leap engine's PDES lookahead depth:
-// how many link-disjoint event instants one cross-time window may
-// absorb and solve together (0/1, the default, keeps the
-// instant-at-a-time loop; FCTs are byte-identical at any depth).
-//
 // -engine selects the execution engine for the convergence (fig4a),
 // dynamic-workload (fig5a/fig5b), FCT (fig7), and resource-pooling
 // (fig8) experiments: "packet" is the faithful packet-level
@@ -65,14 +57,6 @@ var outDir string
 // engine is the execution engine selected via -engine.
 var engine harness.Engine
 
-// workers is the leap engine's component-solve parallelism selected
-// via -workers (0 = one worker per core).
-var workers int
-
-// window is the leap engine's PDES lookahead depth selected via
-// -window (0/1 = instant-at-a-time).
-var window int
-
 // faultSpec is the scripted fault list selected via -faults (the
 // leapfail experiment's scripted mode).
 var faultSpec string
@@ -109,12 +93,10 @@ func main() {
 	seed := flag.Uint64("seed", 1, "random seed")
 	out := flag.String("out", "", "directory for CSV output (optional)")
 	eng := flag.String("engine", "packet", "\"packet\" (discrete-event simulator), \"fluid\" (flow-level fast path), or \"leap\" (event-driven fast path) for fig4a/fig5a/fig5b/fig7/fig8")
-	w := flag.Int("workers", 0, "goroutines for the leap engine's parallel component solves (0 = one per core, 1 = serial; FCTs are identical either way)")
-	win := flag.Int("window", 0, "leap engine PDES lookahead depth: link-disjoint event instants one cross-time window may solve together (0/1 = instant-at-a-time; FCTs are identical at any depth)")
 	faults := flag.String("faults", "", "scripted faults for the leapfail experiment: comma-separated target@time[+downtime] entries, e.g. \"link12@10ms+5ms,agg0.1@20ms\" (targets linkN, hostN, edgeP.E, aggP.A, coreC; no downtime = permanent)")
 	debugAddr := flag.String("debug-addr", "", "serve /metrics, /progress, /debug/pprof and /debug/vars on this address while experiments run (e.g. localhost:6060)")
 	debugHold := flag.Duration("debug-hold", 0, "keep the -debug-addr server alive this long after the experiments finish")
-	traceOut := flag.String("trace-out", "", "write a Chrome-trace (chrome://tracing / Perfetto) timeline of engine batches and per-worker component solves to this file")
+	traceOut := flag.String("trace-out", "", "write a Chrome-trace (chrome://tracing / Perfetto) timeline of engine batches and component solves to this file")
 	ftOut := flag.String("flowtrace-out", "", "write a JSONL flow-lifecycle trace — sampled flow records with per-segment bottleneck links, per-link utilization, slowdown attribution; analyze with cmd/flowreport (leapfct writes the sweep's last load)")
 	ftSample := flag.Float64("flowtrace-sample", 0.01, "deterministic per-flow-id fraction of completions kept in the flow trace (1 = every flow; the slowest flows are kept regardless)")
 	ftSlowest := flag.Int("flowtrace-slowest", 64, "slowest-flow reservoir size for the flow trace: this many worst slowdowns are always kept, independent of sampling")
@@ -122,8 +104,6 @@ func main() {
 	memprofile := flag.String("memprofile", "", "write an end-of-run heap profile to this file")
 	flag.Parse()
 	outDir = *out
-	workers = *w
-	window = *win
 	faultSpec = *faults
 	var err error
 	if engine, err = harness.ParseEngine(*eng); err != nil {
@@ -410,8 +390,6 @@ func runFig5(full bool, seed uint64, cdf *workload.SizeCDF) {
 		cfg := harness.DefaultDynamic(s, cdf, 0.4)
 		cfg.Flows = flows
 		cfg.Seed = seed
-		cfg.Workers = workers
-		cfg.Window = window
 		cfg.Obs = cliObs
 		if full {
 			cfg.Topo = harness.PaperTopology()
@@ -467,8 +445,6 @@ func runFig7(full bool, seed uint64) {
 	fmt.Printf("FCT vs pFabric on the web-search workload (Figure 7, %s engine):\n", engine)
 	cfg := harness.DefaultFCT()
 	cfg.Seed = seed
-	cfg.Workers = workers
-	cfg.Window = window
 	cfg.Obs = cliObs
 	if full {
 		cfg.Topo = harness.PaperTopology()

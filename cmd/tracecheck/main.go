@@ -1,12 +1,11 @@
 // Command tracecheck validates a Chrome-trace timeline written by
 // -trace-out (obs.Tracer.WriteFile): it checks the JSON parses, the
 // events carry the fields chrome://tracing and Perfetto require, and
-// the spans the leap engine is supposed to emit — per-worker component
-// "solve" spans and, per reallocation instant, "batch" spans (or
-// "window" spans when PDES windowing batches instants cross-time) —
-// are actually present and consistent: spans on one track must not
-// overlap (each track has a single writer), and the per-batch/window
-// component counts must sum to the solve-span count. CI runs it
+// the spans the leap engine is supposed to emit — component "solve"
+// spans and, per reallocation instant, a "batch" span — are actually
+// present and consistent: spans on one track must not overlap (each
+// track has a single writer), and the per-batch component counts must
+// sum to the solve-span count. CI runs it
 // against the smoke run's trace so a schema regression fails the
 // build instead of silently producing a file the viewers reject.
 //
@@ -115,7 +114,7 @@ func main() {
 					trackEnd[k] = end
 				}
 			}
-			if ev.Name == "batch" || ev.Name == "window" {
+			if ev.Name == "batch" {
 				if c, ok := ev.Args["components"].(float64); ok {
 					components += int64(c)
 				} else {
@@ -136,24 +135,21 @@ func main() {
 	if spans["solve"] == 0 {
 		fail("%s: no component \"solve\" spans", path)
 	}
-	// Instant-at-a-time runs emit one "batch" span per reallocation;
-	// PDES-windowed runs emit one "window" span per closed window
-	// instead. Either proves the engine's batching instrumented.
-	if spans["batch"] == 0 && spans["window"] == 0 {
-		fail("%s: no reallocation \"batch\" or PDES \"window\" spans", path)
+	if spans["batch"] == 0 {
+		fail("%s: no reallocation \"batch\" spans", path)
 	}
-	// Every component a batch/window reports must have produced exactly
-	// one solve span (unless the per-track cap dropped spans).
+	// Every component a batch reports must have produced exactly one
+	// solve span (unless the per-track cap dropped spans).
 	if !dropped && components != int64(spans["solve"]) {
-		fail("%s: batch+window spans report %d components, but %d solve spans present",
+		fail("%s: batch spans report %d components, but %d solve spans present",
 			path, components, spans["solve"])
 	}
 	if threadNames == 0 {
 		fail("%s: no thread_name metadata (tracks would be unlabeled)", path)
 	}
 	if !failed {
-		fmt.Printf("%s: %d events, %d solve spans, %d batch spans, %d window spans, %d named tracks\n",
-			path, len(tf.TraceEvents), spans["solve"], spans["batch"], spans["window"], threadNames)
+		fmt.Printf("%s: %d events, %d solve spans, %d batch spans, %d named tracks\n",
+			path, len(tf.TraceEvents), spans["solve"], spans["batch"], threadNames)
 	}
 
 	if *metrics != "" {

@@ -8,9 +8,11 @@
 //     harness.ExpandFaults) fails aggregation switch 0.0 (all eight of
 //     its directed links) and later one host link, each recovering a
 //     few milliseconds on;
-//  3. faulted again at Workers:4/Window:8 — fault events ride the same
-//     epoch-stamped heaps as completions and retire in a canonical
-//     order, so the parallel windowed run must match run 2 bitwise.
+//  3. faulted again with Global re-solves — every active-set change
+//     re-solves the whole network instead of the touched components;
+//     fault events ride the same epoch-stamped heap as completions and
+//     retire in a canonical order, so the global run must match run 2
+//     bitwise.
 //
 // Flows crossing a dead link are stranded — rate zero, completion
 // cancelled, payload frozen — and resume automatically when the link
@@ -45,17 +47,15 @@ func main() {
 		spec        = "agg0.0@10ms+8ms,link3@25ms+5ms"
 	)
 
-	run := func(faultSpec string, workers, window int) (*leap.Engine, []*fluid.Flow, *obs.FlowTracer) {
+	run := func(faultSpec string, global bool) (*leap.Engine, []*fluid.Flow, *obs.FlowTracer) {
 		// A fresh fat-tree per run: faults mutate its capacities in place.
 		ft := fluid.NewFatTree(k, linkRate)
 		arrivals, paths := harness.FatTreeWebSearch(ft, load, flows, sim.NewRNG(seed))
 		tracer := obs.NewFlowTracer(obs.FlowTraceConfig{SampleRate: 1})
 		tracer.SetLinkName(ft.LinkLabel)
 		e := leap.NewEngine(ft.Net, leap.Config{
-			Workers:    workers,
-			Window:     window,
-			LinkShards: ft.LinkShards(),
-			Obs:        obs.Hooks{FlowTrace: tracer},
+			Global: global,
+			Obs:    obs.Hooks{FlowTrace: tracer},
 		})
 		if faultSpec != "" {
 			scripted, err := workload.ParseFaults(faultSpec)
@@ -87,16 +87,16 @@ func main() {
 		return out
 	}
 
-	healthy, hf, _ := run("", 1, 1)
-	faulted, ff, tracer := run(spec, 1, 1)
-	_, pf, _ := run(spec, 4, 8)
+	healthy, hf, _ := run("", false)
+	faulted, ff, tracer := run(spec, false)
+	_, gf, _ := run(spec, true)
 
-	// Byte-identity: the parallel windowed faulted run must equal the
-	// serial faulted run at every flow.
+	// Byte-identity: the global faulted run must equal the
+	// component-local faulted run at every flow.
 	for i := range ff {
-		if math.Float64bits(ff[i].Finish) != math.Float64bits(pf[i].Finish) {
-			panic(fmt.Sprintf("flow %d: parallel finish %v != serial %v",
-				ff[i].ID, pf[i].Finish, ff[i].Finish))
+		if math.Float64bits(ff[i].Finish) != math.Float64bits(gf[i].Finish) {
+			panic(fmt.Sprintf("flow %d: global finish %v != component-local %v",
+				ff[i].ID, gf[i].Finish, ff[i].Finish))
 		}
 	}
 
@@ -131,6 +131,6 @@ func main() {
 		"faulted", fs.Faults, fs.Stranded, fs.Resumed, fs.StrandedSec*1e3,
 		fs.CapacityLostBitSec/1e9, stats.Median(fNorm), stats.Percentile(fNorm, 0.95))
 	fmt.Printf("\nall %d flows finished in every run; %d stranded flows resumed; "+
-		"lost-service identity held on %d traced flows; parallel run bitwise-identical\n",
+		"lost-service identity held on %d traced flows; global run bitwise-identical\n",
 		len(hf), fs.Resumed, checked)
 }

@@ -11,14 +11,6 @@
 // identical allocations instead. The same demo also checks physics:
 // N senders share the receiver's NIC, so the last flow of a burst
 // finishes at N × size / line-rate (plus a base RTT).
-//
-// Synchronized instants are also what the engine's multi-core mode
-// feeds on: IncastConfig.Workers (or cmd/numfabric's -workers flag)
-// solves the disjoint link-sharing components of each such batch on a
-// worker pool — 0 means one worker per core — and the results are
-// byte-identical at any worker count. One receiver's burst is a
-// single component, so this demo gains nothing from it; workloads
-// with many concurrent bursts (see BenchmarkLeapParallel) do.
 package main
 
 import (

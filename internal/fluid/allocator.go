@@ -43,8 +43,8 @@ type SubsetAllocator interface {
 // IterCounter is implemented by allocators that count their internal
 // solver iterations — price updates (XWI), gradient steps (DGD),
 // solver iterations (Oracle), water-fill rounds (WaterFill). The
-// counter is shared across Worker views, so it totals a parallel
-// run's allocator work; it accumulates across Reset (which clears
+// counter is shared across Worker views, so it totals the work of
+// every view; it accumulates across Reset (which clears
 // prices, not telemetry).
 type IterCounter interface {
 	SolveIters() int64
@@ -59,8 +59,8 @@ type IterCounter interface {
 // criterion over their possibly-transient rates. Callers must pass the
 // same link-closed flow set and rates the preceding solve produced,
 // and must not call concurrently with a solve on the same allocator
-// (the leap engine calls it from its serial reduce, after the parallel
-// component solves have completed). out receives one link id per flow,
+// (the leap engine calls it right after each component's solve). out
+// receives one link id per flow,
 // ties broken to the first link on the path; -1 for an empty path.
 type BottleneckReporter interface {
 	Bottlenecks(net *Network, flows []*Flow, rates []float64, out []int32)

@@ -5,36 +5,22 @@ import (
 	"numfabric/internal/oracle"
 )
 
-// ParallelSubsetAllocator is a SubsetAllocator whose link-closed subset
-// solves can run concurrently, one worker per subset, as long as the
-// subsets are pairwise link-disjoint (distinct connected components of
-// the link-sharing graph always are). It is the allocator contract
-// behind the leap engine's multi-core mode: one event batch's disjoint
-// components are handed to distinct workers, and because each
-// component's solve reads and writes only the links that component
-// crosses, the workers share the allocator's warm link state (XWI/DGD
-// prices, Oracle duals) without any locking.
+// ParallelSubsetAllocator is a SubsetAllocator that hands out solver
+// views: Prime sizes the allocator's link-indexed warm state (XWI/DGD
+// prices, Oracle duals) for a network, cold, and Worker returns a view
+// that shares that warm state but owns its per-call workspace. The
+// leap engine primes its allocator once and runs every subset solve on
+// one view.
 //
-// The protocol is Prime once, Worker once per goroutine, then any
-// number of concurrent AllocateSubset calls on the workers:
+// Views are bound to the network Prime saw and must not be Reset
+// individually — Reset the parent and re-Prime instead.
 //
-//   - Prime pre-sizes the shared link-indexed warm state for the
-//     network, so no worker ever races on lazy initialization.
-//   - Worker returns a solver view that shares the parent's warm state
-//     but owns every per-call workspace. Concurrent AllocateSubset
-//     calls on distinct workers are race-free provided the flow
-//     subsets are link-disjoint; a single worker is not itself
-//     concurrency-safe.
-//
-// Worker views are bound to the network Prime saw (the shared state is
-// sized for it) and must not be Reset individually — Reset the parent
-// and re-Prime instead. Results are deterministic and independent of
-// how subsets are distributed across workers: disjoint components
-// touch disjoint state, so their solves commute.
+// Deprecated: the name is kept only because the numbench benchmark
+// module type-asserts against it; nothing here is parallel any more.
+// Rename it with the next change to numbench.
 type ParallelSubsetAllocator interface {
 	SubsetAllocator
-	// Prime pre-sizes the allocator's shared link-indexed warm state
-	// for net.
+	// Prime pre-sizes the allocator's link-indexed warm state for net.
 	Prime(net *Network)
 	// Worker returns a solver view sharing this allocator's warm state
 	// with its own per-call workspace.

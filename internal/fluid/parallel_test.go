@@ -1,7 +1,6 @@
 package fluid
 
 import (
-	"sync"
 	"testing"
 
 	"numfabric/internal/core"
@@ -19,53 +18,50 @@ func parallelAllocators() map[string]func() ParallelSubsetAllocator {
 }
 
 // TestParallelWorkersMatchSerial: for every built-in allocator, two
-// link-disjoint components solved concurrently on two Worker views
-// produce bitwise the rates of solving them sequentially on one view —
-// the commutativity contract the leap engine's multi-core mode rests
-// on (workers share warm per-link state but their subsets touch
-// disjoint links).
+// link-disjoint components solved on two Worker views of one parent
+// produce bitwise the rates of solving them on a single view — views
+// share the warm per-link state, and each subset's solve touches only
+// its own links.
 func TestParallelWorkersMatchSerial(t *testing.T) {
 	for name, mk := range parallelAllocators() {
 		t.Run(name, func(t *testing.T) {
 			net, a, b := subsetScenario()
 
-			serial := mk()
-			serial.Prime(net)
-			sw := serial.Worker()
+			one := mk()
+			one.Prime(net)
+			sw := one.Worker()
 			sa := make([]float64, len(a))
 			sb := make([]float64, len(b))
 			sw.AllocateSubset(net, a, sa)
 			sw.AllocateSubset(net, b, sb)
 
-			par := mk()
-			par.Prime(net)
-			wa, wb := par.Worker(), par.Worker()
+			two := mk()
+			two.Prime(net)
+			wa, wb := two.Worker(), two.Worker()
 			pa := make([]float64, len(a))
 			pb := make([]float64, len(b))
-			var wg sync.WaitGroup
-			wg.Add(2)
-			go func() { defer wg.Done(); wa.AllocateSubset(net, a, pa) }()
-			go func() { defer wg.Done(); wb.AllocateSubset(net, b, pb) }()
-			wg.Wait()
+			// Opposite order: the subsets commute.
+			wb.AllocateSubset(net, b, pb)
+			wa.AllocateSubset(net, a, pa)
 
 			for i := range sa {
 				if pa[i] != sa[i] {
-					t.Errorf("component A flow %d: parallel %v != serial %v", i, pa[i], sa[i])
+					t.Errorf("component A flow %d: two views %v != one view %v", i, pa[i], sa[i])
 				}
 			}
 			for i := range sb {
 				if pb[i] != sb[i] {
-					t.Errorf("component B flow %d: parallel %v != serial %v", i, pb[i], sb[i])
+					t.Errorf("component B flow %d: two views %v != one view %v", i, pb[i], sb[i])
 				}
 			}
 		})
 	}
 }
 
-// TestParallelWorkersGroups: concurrent group-bearing subsets exercise
-// the shared group-scan stamp source — two workers scanning different
-// groups must never collide (a collision would silently drop a group
-// from its allocator's view).
+// TestParallelWorkersGroups: group-bearing subsets solved alternately
+// on two views exercise the shared group-scan stamp source — two views
+// scanning different groups must never collide (a collision would
+// silently drop a group from its allocator's view).
 func TestParallelWorkersGroups(t *testing.T) {
 	net := NewNetwork([]float64{10e9, 10e9, 10e9, 10e9})
 	u := core.ProportionalFair()
@@ -85,14 +81,11 @@ func TestParallelWorkersGroups(t *testing.T) {
 	wa, wb := parent.Worker(), parent.Worker()
 	ra := make([]float64, 2)
 	rb := make([]float64, 2)
-	// Many rounds so the two workers' scan counters repeatedly pass
-	// each other's past values.
+	// Many rounds so the two views' scan counters repeatedly pass each
+	// other's past values.
 	for round := 0; round < 100; round++ {
-		var wg sync.WaitGroup
-		wg.Add(2)
-		go func() { defer wg.Done(); wa.AllocateSubset(net, a, ra) }()
-		go func() { defer wg.Done(); wb.AllocateSubset(net, b, rb) }()
-		wg.Wait()
+		wa.AllocateSubset(net, a, ra)
+		wb.AllocateSubset(net, b, rb)
 		if ra[0]+ra[1] < 19e9 || rb[0]+rb[1] < 19e9 {
 			t.Fatalf("round %d: a group lost its pooled rate: %v %v (group scan dropped?)", round, ra, rb)
 		}

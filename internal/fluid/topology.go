@@ -133,16 +133,14 @@ func (t *FatTree) Route(src, dst, pathChoice int) []int {
 }
 
 // LinkShards partitions the fat-tree's directed links into k pod-local
-// shards — the topology-locality partition behind the leap engine's
-// sharded link index (leap.Config{LinkShards}). Every link is assigned
-// to the pod whose sub-network it serves: host links, edge↔aggregation
-// links, and the aggregation side of each aggregation↔core link all
-// belong to their pod. Any flow whose path stays inside one pod (the
-// locality a datacenter workload's placement optimizes for) is then
-// shard-pure, so concurrent component floods and completion-event
-// resplices for flows in different pods touch disjoint shards; an
-// inter-pod flow's path spans its two pods' shards, which the engine
-// detects and handles serially.
+// shards. Every link is assigned to the pod whose sub-network it
+// serves: host links, edge↔aggregation links, and the aggregation side
+// of each aggregation↔core link all belong to their pod, so a path
+// that stays inside one pod stays inside one shard.
+//
+// Deprecated: kept only because the numbench benchmark module still
+// passes it to leap.Config.LinkShards, which the engine ignores;
+// remove it with the next change to numbench.
 func (t *FatTree) LinkShards() []int {
 	half := t.K / 2
 	shard := make([]int, t.Net.Links())

@@ -20,13 +20,6 @@ type FCTConfig struct {
 	// (paper: 0.125).
 	Epsilon float64
 	Topo    TopologyConfig
-	// Workers bounds the leap engine's parallel component solves
-	// (0 = all cores, 1 = serial; leap engine only — see
-	// DynamicConfig.Workers).
-	Workers int
-	// Window sets the leap engine's PDES lookahead depth (see
-	// DynamicConfig.Window); leap engine only.
-	Window int
 	// Obs attaches observability hooks to the fluid/leap engines (nil
 	// hooks cost nothing and never change results).
 	Obs  obs.Hooks
@@ -74,8 +67,6 @@ func RunFCTWith(eng Engine, cfg FCTConfig, scheme Scheme, load float64) FCTPoint
 		Flows:          cfg.FlowsPerLoad,
 		Alpha:          cfg.Epsilon,
 		Drain:          500 * sim.Millisecond,
-		Workers:        cfg.Workers,
-		Window:         cfg.Window,
 		Obs:            cfg.Obs,
 		Seed:           cfg.Seed,
 		SkipFluidIdeal: true, // Figure 7 normalizes by line-rate FCT

@@ -13,9 +13,12 @@ import (
 	"numfabric/internal/workload"
 )
 
-// LeapWorkers resolves a harness-level worker count to the leap
-// engine's convention: 0 (the configs' zero value) means one worker
-// per core, anything else passes through.
+// LeapWorkers resolves a worker count: 0 or less means one per core,
+// anything else passes through. The leap engine is serial and ignores
+// the result.
+//
+// Deprecated: kept only because the numbench benchmark module still
+// calls it; remove it with the next change to numbench.
 func LeapWorkers(w int) int {
 	if w <= 0 {
 		return runtime.GOMAXPROCS(0)
@@ -99,14 +102,10 @@ func FatTreeCoflows(ft *fluid.FatTree, load float64, nflows, senders, bursts int
 // the identical Poisson workload (same seed, same arrival schedule and
 // spine choices) played through the leap engine, which advances
 // straight from event to event instead of epoch by epoch.
-// cfg.Workers > 1 (or 0: all cores) solves the disjoint components of
-// each event batch concurrently; FCTs are byte-identical regardless.
 func RunDynamicLeap(cfg DynamicConfig) DynamicResult {
 	topo := NewFluidTopology(cfg.Topo)
 	leng := leap.NewEngine(FluidNetwork(topo), leap.Config{
 		Allocator: LeapAllocatorFor(cfg.Scheme),
-		Workers:   LeapWorkers(cfg.Workers),
-		Window:    cfg.Window,
 		Obs:       cfg.Obs,
 	})
 	ScheduleFaults(leng, cfg.Faults)
@@ -190,12 +189,6 @@ type IncastConfig struct {
 	// Bursts is how many bursts arrive, Interval apart.
 	Bursts   int
 	Interval sim.Duration
-	// Workers bounds the leap engine's concurrent component solves
-	// (0 = all cores, 1 = serial; results are identical either way).
-	Workers int
-	// Window sets the leap engine's PDES lookahead depth (see
-	// DynamicConfig.Window); results are identical at any depth.
-	Window int
 	// Obs attaches observability hooks to the leap engine (nil hooks
 	// cost nothing and never change results).
 	Obs  obs.Hooks
@@ -250,8 +243,6 @@ func RunIncastLeap(cfg IncastConfig) IncastResult {
 
 	leng := leap.NewEngine(FluidNetwork(topo), leap.Config{
 		Allocator: LeapAllocatorFor(cfg.Scheme),
-		Workers:   LeapWorkers(cfg.Workers),
-		Window:    cfg.Window,
 		Obs:       cfg.Obs,
 	})
 	flows := make([]*fluid.Flow, len(arrivals))

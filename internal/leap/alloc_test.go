@@ -2,6 +2,7 @@ package leap
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"numfabric/internal/core"
@@ -123,8 +124,15 @@ func TestSeedDrainedAcrossRelease(t *testing.T) {
 // TestTableReuseIdenticalResults: a second workload on an engine whose
 // tables are full of recycled ids, slab slots, and path segments must
 // produce bitwise-identical FCTs to the same workload on a fresh
-// engine — recycling is invisible to the simulation.
+// engine — recycling is invisible to the simulation, under every
+// allocator.
 func TestTableReuseIdenticalResults(t *testing.T) {
+	allocators := map[string]func() fluid.Allocator{
+		"waterfill": func() fluid.Allocator { return fluid.NewWaterFill() },
+		"xwi":       func() fluid.Allocator { return &fluid.XWI{IterPerEpoch: 48, Tol: 1e-3} },
+		"dgd":       func() fluid.Allocator { return &fluid.DGD{IterPerEpoch: 600, Tol: 1e-3} },
+		"oracle":    func() fluid.Allocator { return fluid.NewOracle() },
+	}
 	caps := []float64{10e9, 10e9, 10e9}
 	run := func(e *Engine, base float64) []float64 {
 		now := base
@@ -143,19 +151,22 @@ func TestTableReuseIdenticalResults(t *testing.T) {
 		e.ReleaseFinished()
 		return fcts
 	}
-
-	e := NewEngine(fluid.NewNetwork(caps), Config{})
-	run(e, 0) // churn the tables: everything below draws recycled slots
-	reused := run(e, 100)
-	fresh := run(NewEngine(fluid.NewNetwork(caps), Config{}), 100)
-	if len(reused) != len(fresh) {
-		t.Fatalf("completions: %d on recycled tables, %d fresh", len(reused), len(fresh))
-	}
-	for i := range reused {
-		if math.Float64bits(reused[i]) != math.Float64bits(fresh[i]) {
-			t.Fatalf("FCT %d differs: %.17g on recycled tables, %.17g fresh",
-				i, reused[i], fresh[i])
-		}
+	for name, mk := range allocators {
+		t.Run(name, func(t *testing.T) {
+			e := NewEngine(fluid.NewNetwork(caps), Config{Allocator: mk()})
+			run(e, 0) // churn the tables: everything below draws recycled slots
+			reused := run(e, 100)
+			fresh := run(NewEngine(fluid.NewNetwork(caps), Config{Allocator: mk()}), 100)
+			if len(reused) != len(fresh) {
+				t.Fatalf("completions: %d on recycled tables, %d fresh", len(reused), len(fresh))
+			}
+			for i := range reused {
+				if math.Float64bits(reused[i]) != math.Float64bits(fresh[i]) {
+					t.Fatalf("FCT %d differs: %.17g on recycled tables, %.17g fresh",
+						i, reused[i], fresh[i])
+				}
+			}
+		})
 	}
 }
 
@@ -193,5 +204,55 @@ func TestReleaseFinishedRecycles(t *testing.T) {
 	}
 	if tbl.Len() != 0 {
 		t.Errorf("live flows after full release: %d, want 0", tbl.Len())
+	}
+}
+
+// burstAllocs plays repeated synchronized four-link bursts — every
+// batch spans four disjoint components — and returns heap allocations
+// per event over the second (warm) half of the run.
+func burstAllocs(t *testing.T, cfg Config) float64 {
+	t.Helper()
+	net := fluid.NewNetwork([]float64{10e9, 10e9, 10e9, 10e9})
+	e := NewEngine(net, cfg)
+	// Per-link bytes per round (~100KB) drain well inside dt, so the
+	// active set stays bounded and the run is linear in rounds.
+	const rounds = 200
+	dt := 200e-6
+	for q := 0; q < rounds; q++ {
+		at := float64(q) * dt
+		for l := 0; l < 4; l++ {
+			for i := 0; i < 20; i++ {
+				e.AddFlow([]int{l}, core.ProportionalFair(), int64(1+i%4)<<11, at)
+			}
+		}
+	}
+	e.Run(float64(rounds/2) * dt)
+	before := e.Events()
+
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	e.Run(math.Inf(1))
+	runtime.ReadMemStats(&m1)
+
+	events := e.Events() - before
+	if events <= 0 {
+		t.Fatal("warm half processed no events")
+	}
+	if s := e.Stats(); s.MaxBatchComponents < 4 {
+		t.Fatalf("bursts never formed a four-component batch: %+v", s)
+	}
+	return float64(m1.Mallocs-m0.Mallocs) / float64(events)
+}
+
+// TestBurstSteadyStateAllocations pins the zero-allocation contract on
+// wide batches: once the engine is warm, flooding, solving and
+// resplicing several components per instant allocates essentially
+// nothing per event (no per-batch scratch, closures, or sort buffers).
+func TestBurstSteadyStateAllocations(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation accounting is slow under -short")
+	}
+	if got := burstAllocs(t, Config{}); got > 0.1 {
+		t.Errorf("%.3f allocs/event, want ~0", got)
 	}
 }

@@ -15,16 +15,11 @@ func traceEverything() *obs.FlowTracer {
 }
 
 // flowTraceConfigs are the engine modes the tracing properties must
-// hold across: serial, parallel, PDES-windowed, windowed-parallel,
-// and the global (non-component) solve path.
+// hold across: the component-local and the global solve paths.
 func flowTraceConfigs() map[string]Config {
 	return map[string]Config{
-		"serial":          {},
-		"parallel":        {Workers: 4},
-		"windowed":        {Window: 8},
-		"windowed-par":    {Workers: 4, Window: 8},
-		"global":          {Global: true},
-		"sharded-windows": {Workers: 4, Window: 8, LinkShards: []int{0, 0, 0, 0, 1, 1, 1, 1}},
+		"component": {},
+		"global":    {Global: true},
 	}
 }
 
@@ -152,28 +147,28 @@ func TestFlowTraceAttributionIdentity(t *testing.T) {
 	}
 }
 
-// TestFlowTraceWindowAndBatchOrdinals: windowed runs must stamp
-// nonzero window ordinals on solve segments (the engine closed
-// windows), and batch ordinals must be present in every mode.
-func TestFlowTraceWindowAndBatchOrdinals(t *testing.T) {
+// TestFlowTraceBatchOrdinals: solve segments carry the ordinal of the
+// batch that produced them — never beyond the engine's batch count,
+// and non-decreasing along each flow's lifetime.
+func TestFlowTraceBatchOrdinals(t *testing.T) {
 	ft := traceEverything()
-	e, _, _ := runDense(Config{Window: 8, Obs: obs.Hooks{FlowTrace: ft}}, 1)
-	if e.Stats().Windows == 0 {
-		t.Skip("schedule closed no windows")
-	}
-	sawWin, sawBatch := false, false
+	e, _, _ := runDense(Config{Obs: obs.Hooks{FlowTrace: ft}}, 1)
+	batches := uint32(e.Stats().Batches)
+	sawBatch := false
 	for _, r := range ft.Records() {
+		last := uint32(0)
 		for _, seg := range r.Segs {
-			if seg.Win > 0 {
-				sawWin = true
+			if seg.Batch > batches {
+				t.Fatalf("flow %d: batch ordinal %d beyond the run's %d batches", r.ID, seg.Batch, batches)
 			}
+			if seg.Batch < last {
+				t.Fatalf("flow %d: batch ordinal went back from %d to %d", r.ID, last, seg.Batch)
+			}
+			last = seg.Batch
 			if seg.Batch > 0 {
 				sawBatch = true
 			}
 		}
-	}
-	if !sawWin {
-		t.Error("windowed run recorded no window ordinals on any segment")
 	}
 	if !sawBatch {
 		t.Error("no batch ordinals recorded")

@@ -52,12 +52,14 @@ func buildFuzzSchedule(e *Engine, data []byte) ([]*fluid.Flow, []*fluid.Group) {
 	return fs, gs
 }
 
-// FuzzWindowedMatchesSerial is the windowing correctness fuzzer: any
-// decoded schedule, run through the parallel engine with and without
-// PDES windows — including a mid-run deadline cut derived from the
-// input — must finish every flow and group at times bitwise equal to
-// the fully serial engine, with the same event count.
-func FuzzWindowedMatchesSerial(f *testing.F) {
+// FuzzComponentLocalMatchesGlobal is the component-machinery fuzzer:
+// any decoded schedule — including a mid-run deadline cut derived from
+// the input — must finish every flow and group at times bitwise equal
+// under component-local re-solves and under Global full re-solves,
+// with the same event count. WaterFill is separable across connected
+// components, so any disagreement is a component-tracking bug (a
+// missed seed, a wrong flood, a stale resplice), not float noise.
+func FuzzComponentLocalMatchesGlobal(f *testing.F) {
 	// Structured seeds: colliding instants on shared links, two-link
 	// paths with groups, unbounded flows, out-of-order arrivals.
 	f.Add([]byte{0, 1, 8, 0, 0, 1, 8, 0, 2, 0x41, 16, 0xc1, 1, 2, 255, 0x20})
@@ -73,44 +75,28 @@ func FuzzWindowedMatchesSerial(f *testing.F) {
 			cut = float64(data[0]) * 25e-6
 		}
 		run := func(cfg Config) (*Engine, []*fluid.Flow, []*fluid.Group) {
-			cfg.forcePar = true
 			e := NewEngine(fluid.NewNetwork(fuzzCaps()), cfg)
 			fs, gs := buildFuzzSchedule(e, data)
 			e.Run(cut)
 			e.Run(math.Inf(1))
 			return e, fs, gs
 		}
-		se, sf, sg := run(Config{})
-		for _, cfg := range []Config{
-			{Workers: 4},
-			{Window: 8},
-			{Workers: 4, Window: 8},
-		} {
-			pe, pf, pg := run(cfg)
-			for i := range sf {
-				if math.Float64bits(sf[i].Finish) != math.Float64bits(pf[i].Finish) {
-					t.Fatalf("cfg %+v flow %d: finish %v != serial %v",
-						cfg, sf[i].ID, pf[i].Finish, sf[i].Finish)
-				}
+		le, lf, lg := run(Config{})
+		ge, gf, gg := run(Config{Global: true})
+		for i := range lf {
+			if math.Float64bits(lf[i].Finish) != math.Float64bits(gf[i].Finish) {
+				t.Fatalf("flow %d: global finish %v != component-local %v",
+					lf[i].ID, gf[i].Finish, lf[i].Finish)
 			}
-			for i := range sg {
-				if math.Float64bits(sg[i].Finish) != math.Float64bits(pg[i].Finish) {
-					t.Fatalf("cfg %+v group %d: finish %v != serial %v",
-						cfg, sg[i].ID, pg[i].Finish, sg[i].Finish)
-				}
+		}
+		for i := range lg {
+			if math.Float64bits(lg[i].Finish) != math.Float64bits(gg[i].Finish) {
+				t.Fatalf("group %d: global finish %v != component-local %v",
+					lg[i].ID, gg[i].Finish, lg[i].Finish)
 			}
-			// Events() may legitimately exceed serial: a window's solve
-			// can resplice a completion onto a time bit-equal to an
-			// instant serial merges, splitting it across two windowed
-			// instants. The solve structure, by contrast, is invariant.
-			ps, ss := pe.Stats(), se.Stats()
-			if pe.Events() < se.Events() {
-				t.Fatalf("cfg %+v: events %d < serial %d", cfg, pe.Events(), se.Events())
-			}
-			if ps.Allocs != ss.Allocs || ps.SolvedFlows != ss.SolvedFlows {
-				t.Fatalf("cfg %+v: allocs %d/%d solved %d/%d diverge from serial",
-					cfg, ps.Allocs, ss.Allocs, ps.SolvedFlows, ss.SolvedFlows)
-			}
+		}
+		if le.Events() != ge.Events() {
+			t.Fatalf("events %d (local) vs %d (global)", le.Events(), ge.Events())
 		}
 	})
 }

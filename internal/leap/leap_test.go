@@ -419,3 +419,101 @@ func TestIndependenceElision(t *testing.T) {
 		t.Errorf("shared rates %v/%v, want 5G each", a.Rate, c.Rate)
 	}
 }
+
+// buildStaggered adds one flow per link with strictly increasing
+// arrival times and sizes long enough that no completion lands among
+// the arrivals: every instant is its own single-flow component.
+func buildStaggered(e *Engine, links int) []*fluid.Flow {
+	var fs []*fluid.Flow
+	for i := 0; i < links; i++ {
+		size := int64(1+i%4) << 20
+		fs = append(fs, e.AddFlow([]int{i}, core.ProportionalFair(), size, float64(i)*10e-6))
+	}
+	return fs
+}
+
+// TestEventLoopEdgeCases drives the event loop through corner
+// geometries. Every case must match the Global engine — which
+// re-solves everything at every change — bitwise, Remaining included.
+func TestEventLoopEdgeCases(t *testing.T) {
+	type result struct {
+		e  *Engine
+		fs []*fluid.Flow
+	}
+	play := func(cfg Config, build func(*Engine) []*fluid.Flow, until float64) result {
+		net := fluid.NewNetwork([]float64{10e9, 10e9, 10e9, 10e9})
+		e := NewEngine(net, cfg)
+		fs := build(e)
+		e.Run(until)
+		return result{e, fs}
+	}
+	compare := func(t *testing.T, l, g result) {
+		t.Helper()
+		for i := range l.fs {
+			// Bit equality: unfinished flows carry NaN finishes, which
+			// must match too (same flows unfinished in both runs).
+			if math.Float64bits(l.fs[i].Finish) != math.Float64bits(g.fs[i].Finish) {
+				t.Fatalf("flow %d: component-local finish %v != global %v",
+					i, l.fs[i].Finish, g.fs[i].Finish)
+			}
+			if l.fs[i].Remaining != g.fs[i].Remaining {
+				t.Fatalf("flow %d: component-local remaining %v != global %v",
+					i, l.fs[i].Remaining, g.fs[i].Remaining)
+			}
+		}
+	}
+	global := Config{Global: true}
+
+	t.Run("one-shared-link", func(t *testing.T) {
+		// Every flow shares one link: each arrival and departure
+		// re-solves the same growing and shrinking component.
+		build := func(e *Engine) []*fluid.Flow {
+			var fs []*fluid.Flow
+			for i := 0; i < 10; i++ {
+				fs = append(fs, e.AddFlow([]int{0}, core.ProportionalFair(),
+					int64(1+i)<<18, float64(i)*20e-6))
+			}
+			return fs
+		}
+		compare(t, play(Config{}, build, math.Inf(1)), play(global, build, math.Inf(1)))
+	})
+
+	t.Run("deadline-on-instant", func(t *testing.T) {
+		// The run deadline lands exactly on an event instant, then the
+		// run resumes to completion: the deadline cut must drain both
+		// engines to identical intermediate state (Remaining included)
+		// and the resumed halves must still agree.
+		build := func(e *Engine) []*fluid.Flow { return buildStaggered(e, 4) }
+		cut := 20e-6 // exactly the third staggered arrival
+		l := play(Config{}, build, cut)
+		g := play(global, build, cut)
+		compare(t, l, g)
+		l.e.Run(math.Inf(1))
+		g.e.Run(math.Inf(1))
+		compare(t, l, g)
+	})
+
+	t.Run("sharing-created-by-arrival", func(t *testing.T) {
+		// A completion on link 0 is followed by an arrival spanning
+		// {0,1}, which couples the long flow on link 1 into a
+		// component it never shared before.
+		build := func(e *Engine) []*fluid.Flow {
+			a := e.AddFlow([]int{0}, core.ProportionalFair(), 1<<18, 0) // finishes ~210µs
+			b := e.AddFlow([]int{1}, core.ProportionalFair(), 4<<20, 0) // long
+			c := e.AddFlow([]int{0, 1}, core.ProportionalFair(), 1<<20, 230e-6)
+			return []*fluid.Flow{a, b, c}
+		}
+		compare(t, play(Config{}, build, math.Inf(1)), play(global, build, math.Inf(1)))
+	})
+
+	t.Run("empty-engine", func(t *testing.T) {
+		e := NewEngine(fluid.NewNetwork([]float64{10e9}), Config{})
+		if e.Step() {
+			t.Error("empty engine claims progress")
+		}
+		e.Run(math.Inf(1))
+		if s := e.Stats(); s.Events != 0 || s.Batches != 0 {
+			t.Errorf("empty engine recorded work: %+v", s)
+		}
+	})
+}

@@ -27,29 +27,25 @@ func fullHooks() obs.Hooks {
 
 // TestObsDoesNotChangeResults: attaching every observability hook must
 // leave completions byte-identical — instrumentation reads engine
-// state, never steers it — serial and parallel alike.
+// state, never steers it — component-local and Global alike.
 func TestObsDoesNotChangeResults(t *testing.T) {
 	for seed := uint64(1); seed <= 3; seed++ {
 		_, bf, bg := runDense(Config{}, seed)
 		_, of, og := runDense(Config{Obs: fullHooks()}, seed)
-		assertSameCompletions(t, "obs-serial", seed, bf, bg, of, og)
-		_, pf, pg := runDense(Config{Workers: 4, Obs: fullHooks()}, seed)
-		assertSameCompletions(t, "obs-parallel", seed, bf, bg, pf, pg)
+		assertSameCompletions(t, "obs", seed, bf, bg, of, og)
+		_, gf, gg := runDense(Config{Global: true}, seed)
+		_, hf, hg := runDense(Config{Global: true, Obs: fullHooks()}, seed)
+		assertSameCompletions(t, "obs-global", seed, gf, gg, hf, hg)
 	}
 }
 
 // TestPhaseCoverage: the profiler's laps tile the event loop, so the
 // per-phase sums must cover nearly all of the wall time spent inside
-// Run — the property BENCH_leap.json's breakdown relies on.
+// Run — the property leapfct's phase columns rely on.
 func TestPhaseCoverage(t *testing.T) {
 	prof := obs.NewPhaseProfiler()
 	ft := fluid.NewFatTree(4, 10e9)
-	e := NewEngine(ft.Net, Config{
-		Workers:    4,
-		LinkShards: ft.LinkShards(),
-		Obs:        obs.Hooks{Profiler: prof},
-		forcePar:   true,
-	})
+	e := NewEngine(ft.Net, Config{Obs: obs.Hooks{Profiler: prof}})
 	buildPodBursts(e, ft, false, 1)
 	start := time.Now()
 	e.Run(math.Inf(1))
@@ -82,26 +78,20 @@ func TestPhaseCoverage(t *testing.T) {
 }
 
 // TestSolveSpansMatchComponents: the tracer records exactly one solve
-// span per component solved (on the worker's own track) and one batch
-// span per reallocation batch.
+// span per component solved and one batch span per reallocation
+// batch.
 func TestSolveSpansMatchComponents(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		tr := obs.NewTracer()
-		e, _, _ := func() (*Engine, []*fluid.Flow, []*fluid.Group) {
-			return runDense(Config{Workers: workers, Obs: obs.Hooks{Tracer: tr}}, 2)
-		}()
-		s := e.Stats()
-		if tr.Dropped() != 0 {
-			t.Fatalf("workers=%d: tracer dropped %d spans", workers, tr.Dropped())
-		}
-		if got := tr.SpanCount("solve"); got != s.BatchComponents {
-			t.Errorf("workers=%d: solve spans = %d, components = %d",
-				workers, got, s.BatchComponents)
-		}
-		if got := tr.SpanCount("batch"); got != s.Batches {
-			t.Errorf("workers=%d: batch spans = %d, batches = %d",
-				workers, got, s.Batches)
-		}
+	tr := obs.NewTracer()
+	e, _, _ := runDense(Config{Obs: obs.Hooks{Tracer: tr}}, 2)
+	s := e.Stats()
+	if tr.Dropped() != 0 {
+		t.Fatalf("tracer dropped %d spans", tr.Dropped())
+	}
+	if got := tr.SpanCount("solve"); got != s.BatchComponents {
+		t.Errorf("solve spans = %d, components = %d", got, s.BatchComponents)
+	}
+	if got := tr.SpanCount("batch"); got != s.Batches {
+		t.Errorf("batch spans = %d, batches = %d", got, s.Batches)
 	}
 }
 
@@ -138,24 +128,19 @@ func TestObsMetricsMatchStats(t *testing.T) {
 }
 
 // TestAllocIters: allocators that count internal iterations surface
-// the total through Stats, identically for serial and parallel runs
-// (the solves are byte-identical, so their iteration counts are too).
+// the total through Stats, and identical runs count identically.
 func TestAllocIters(t *testing.T) {
-	mk := func(workers int) Config {
-		return Config{
-			Allocator: &fluid.XWI{IterPerEpoch: 24, Tol: 1e-3},
-			Workers:   workers,
-			forcePar:  true,
-		}
+	mk := func() Config {
+		return Config{Allocator: &fluid.XWI{IterPerEpoch: 24, Tol: 1e-3}}
 	}
-	se, _, _ := runDense(mk(1), 1)
+	se, _, _ := runDense(mk(), 1)
 	ss := se.Stats()
 	if ss.AllocIters < int64(ss.Allocs) {
 		t.Fatalf("AllocIters = %d, want >= Allocs = %d", ss.AllocIters, ss.Allocs)
 	}
-	pe, _, _ := runDense(mk(4), 1)
-	if ps := pe.Stats(); ps.AllocIters != ss.AllocIters {
-		t.Errorf("parallel AllocIters = %d, serial = %d", ps.AllocIters, ss.AllocIters)
+	re, _, _ := runDense(mk(), 1)
+	if rs := re.Stats(); rs.AllocIters != ss.AllocIters {
+		t.Errorf("repeat run AllocIters = %d, first run = %d", rs.AllocIters, ss.AllocIters)
 	}
 	// WaterFill counts water-fill rounds.
 	we, _, _ := runDense(Config{}, 1)

@@ -23,8 +23,8 @@ func TestFlowTraceLifecycleAndAttribution(t *testing.T) {
 	// 16 s (bottleneck 0 reported), then 5 until done (16 s in, 40
 	// bits remain → 8 s more).
 	ft.Admit(7, 10, 100, []int{0, 2})
-	ft.Rate(7, 100, 2.5, 0, CauseSolve, 3, 1, 0)
-	ft.Rate(7, 116, 5, 2, CauseSolve, 2, 2, 0)
+	ft.Rate(7, 100, 2.5, 0, CauseSolve, 3, 1)
+	ft.Rate(7, 116, 5, 2, CauseSolve, 2, 2)
 	ft.Complete(7, 124)
 
 	recs := ft.Records()
@@ -75,7 +75,7 @@ func TestFlowTraceZeroRateSeedTilesFromArrival(t *testing.T) {
 	// must cover [arrive, first solve) and attribute the wait to the
 	// line-rate bottleneck.
 	ft.Admit(0, 10, 5, []int{1}) // line rate 20
-	ft.Rate(0, 9, 20, 1, CauseSolve, 1, 1, 0)
+	ft.Rate(0, 9, 20, 1, CauseSolve, 1, 1)
 	ft.Complete(0, 13)
 	r := ft.Records()[0]
 	if len(r.Segs) != 2 || r.Segs[0].T != 5 || r.Segs[0].Rate != 0 || r.Segs[0].Cause != CauseAdmit {
@@ -93,12 +93,12 @@ func TestFlowTraceZeroRateSeedTilesFromArrival(t *testing.T) {
 func TestFlowTraceCoalescing(t *testing.T) {
 	ft := traced(FlowTraceConfig{SampleRate: 1})
 	ft.Admit(1, 100, 0, []int{0})
-	ft.Rate(1, 1, 5, 0, CauseSolve, 1, 1, 0)
+	ft.Rate(1, 1, 5, 0, CauseSolve, 1, 1)
 	// Same (rate, bneck) again and again: the open segment continues.
-	ft.Rate(1, 2, 5, 0, CauseSolve, 4, 2, 0)
-	ft.Rate(1, 3, 5, 0, CauseSolve, 9, 3, 0)
+	ft.Rate(1, 2, 5, 0, CauseSolve, 4, 2)
+	ft.Rate(1, 3, 5, 0, CauseSolve, 9, 3)
 	// Same rate, different bottleneck: a real boundary.
-	ft.Rate(1, 4, 5, 2, CauseSolve, 2, 4, 0)
+	ft.Rate(1, 4, 5, 2, CauseSolve, 2, 4)
 	ft.Complete(1, 80)
 	r := ft.Records()[0]
 	if len(r.Segs) != 3 {
@@ -123,7 +123,7 @@ func TestFlowTraceTruncationKeepsAttributionExact(t *testing.T) {
 		} else {
 			rate = 2.5
 		}
-		ft.Rate(2, now, rate, 0, CauseSolve, 1, uint64(i), 0)
+		ft.Rate(2, now, rate, 0, CauseSolve, 1, uint64(i))
 	}
 	// Drain the remaining bits at the line rate and finish at a time
 	// consistent with the rate schedule — the attribution identity
@@ -138,7 +138,7 @@ func TestFlowTraceTruncationKeepsAttributionExact(t *testing.T) {
 		}
 	}
 	remain := 1000*8 - sent
-	ft.Rate(2, now, 10, 0, CauseSolve, 1, 99, 0)
+	ft.Rate(2, now, 10, 0, CauseSolve, 1, 99)
 	finish := now + remain/10
 	ft.Complete(2, finish)
 
@@ -158,7 +158,7 @@ func TestFlowTraceSamplingDeterministicAndReservoir(t *testing.T) {
 		for id := 0; id < 400; id++ {
 			ft.Admit(id, 10, float64(id), []int{0})
 			// Slowdown grows with id: the reservoir must hold the top ids.
-			ft.Rate(id, float64(id), 8/(1+float64(id)), 0, CauseSolve, 1, 1, 0)
+			ft.Rate(id, float64(id), 8/(1+float64(id)), 0, CauseSolve, 1, 1)
 			ft.Complete(id, float64(id)+(1+float64(id)))
 		}
 		keptIDs := map[int]bool{}
@@ -205,7 +205,7 @@ func TestFlowTraceSampleRateZeroKeepsOnlyReservoir(t *testing.T) {
 	ft := traced(FlowTraceConfig{SampleRate: 0, SlowestK: 2})
 	for id := 0; id < 10; id++ {
 		ft.Admit(id, 10, 0, []int{0})
-		ft.Rate(id, 0, 10/(1+float64(id)), 0, CauseSolve, 1, 1, 0)
+		ft.Rate(id, 0, 10/(1+float64(id)), 0, CauseSolve, 1, 1)
 		ft.Complete(id, (1+float64(id))*8)
 	}
 	s := ft.Summary()
@@ -223,8 +223,8 @@ func TestFlowTraceLinkStats(t *testing.T) {
 	ft := traced(FlowTraceConfig{SampleRate: 1})
 	// One flow on link 0 (cap 10) at rate 5 for 10 s, then 10 for 5 s.
 	ft.Admit(0, int64(100/8)+1, 0, []int{0})
-	ft.Rate(0, 0, 5, 0, CauseSolve, 1, 1, 0)
-	ft.Rate(0, 10, 10, 0, CauseSolve, 1, 2, 0)
+	ft.Rate(0, 0, 5, 0, CauseSolve, 1, 1)
+	ft.Rate(0, 10, 10, 0, CauseSolve, 1, 2)
 	ft.Complete(0, 15)
 
 	snaps := ft.LinksSnapshot()
@@ -257,12 +257,12 @@ func TestFlowTraceLinkStatsSettledPeak(t *testing.T) {
 	ft := traced(FlowTraceConfig{SampleRate: 1})
 	ft.Admit(0, 100, 0, []int{0})
 	ft.Admit(1, 100, 0, []int{0})
-	ft.Rate(0, 0, 8, 0, CauseSolve, 2, 1, 0)
-	ft.Rate(1, 0, 2, 0, CauseSolve, 2, 1, 0)
+	ft.Rate(0, 0, 8, 0, CauseSolve, 2, 1)
+	ft.Rate(1, 0, 2, 0, CauseSolve, 2, 1)
 	// Reallocation at t=5 swaps the shares; updating flow 1 first puts
 	// a transient 8+8=16 > cap on the link.
-	ft.Rate(1, 5, 8, 0, CauseSolve, 2, 2, 0)
-	ft.Rate(0, 5, 2, 0, CauseSolve, 2, 2, 0)
+	ft.Rate(1, 5, 8, 0, CauseSolve, 2, 2)
+	ft.Rate(0, 5, 2, 0, CauseSolve, 2, 2)
 	ft.Complete(0, 10)
 	ft.Complete(1, 10)
 	ls := ft.LinksSnapshot()[0]
@@ -279,7 +279,7 @@ func TestFlowTraceJSONLRoundTrip(t *testing.T) {
 	ft := traced(FlowTraceConfig{SampleRate: 1})
 	ft.SetLinkName(func(l int) string { return []string{"a", "b", "c"}[l] })
 	ft.Admit(0, 10, 0, []int{0, 2})
-	ft.Rate(0, 0, 2.5, 0, CauseSolve, 2, 1, 3)
+	ft.Rate(0, 0, 2.5, 0, CauseSolve, 2, 1)
 	ft.Complete(0, 32)
 	ft.Admit(1, 10, 30, []int{1}) // still active at export
 
@@ -315,9 +315,9 @@ func TestFlowTraceJSONLRoundTrip(t *testing.T) {
 func TestFlowTraceUntrackedAndForeignIDsIgnored(t *testing.T) {
 	ft := traced(FlowTraceConfig{SampleRate: 1})
 	// None of these may panic or create records.
-	ft.Rate(5, 1, 3, 0, CauseSolve, 1, 1, 0)
+	ft.Rate(5, 1, 3, 0, CauseSolve, 1, 1)
 	ft.Complete(5, 2)
-	ft.Rate(-1, 1, 3, 0, CauseSolve, 1, 1, 0)
+	ft.Rate(-1, 1, 3, 0, CauseSolve, 1, 1)
 	ft.Admit(0, 10, 0, []int{0, 99}) // link 99 outside the bound network
 	ft.Admit(1, 0, 0, []int{0})      // zero size
 	ft.Admit(2, 10, 0, nil)          // empty path
@@ -328,7 +328,7 @@ func TestFlowTraceUntrackedAndForeignIDsIgnored(t *testing.T) {
 	// A never-bound tracer ignores everything.
 	unbound := NewFlowTracer(FlowTraceConfig{SampleRate: 1})
 	unbound.Admit(0, 10, 0, []int{0})
-	unbound.Rate(0, 0, 1, 0, CauseSolve, 1, 1, 0)
+	unbound.Rate(0, 0, 1, 0, CauseSolve, 1, 1)
 	unbound.Complete(0, 1)
 	if s := unbound.Summary(); s.Tracked != 0 {
 		t.Fatalf("unbound tracer tracked %d flows", s.Tracked)
@@ -338,7 +338,7 @@ func TestFlowTraceUntrackedAndForeignIDsIgnored(t *testing.T) {
 func TestFlowTraceReset(t *testing.T) {
 	ft := traced(FlowTraceConfig{SampleRate: 1})
 	ft.Admit(0, 10, 0, []int{0})
-	ft.Rate(0, 0, 10, 0, CauseSolve, 1, 1, 0)
+	ft.Rate(0, 0, 10, 0, CauseSolve, 1, 1)
 	ft.Complete(0, 8)
 	ft.Admit(1, 10, 8, []int{0})
 	ft.Reset()
@@ -351,7 +351,7 @@ func TestFlowTraceReset(t *testing.T) {
 	// Rebinding (possibly to a different network) starts fresh.
 	ft.Bind([]float64{1})
 	ft.Admit(3, 10, 0, []int{0})
-	ft.Rate(3, 0, 1, 0, CauseSolve, 1, 1, 0)
+	ft.Rate(3, 0, 1, 0, CauseSolve, 1, 1)
 	ft.Complete(3, 80)
 	if s := ft.Summary(); s.Tracked != 1 || s.Completed != 1 {
 		t.Fatalf("summary after rebind = %+v", s)
@@ -386,7 +386,7 @@ func TestFlowTraceConcurrentSnapshots(t *testing.T) {
 	}
 	for id := 0; id < 3000; id++ {
 		ft.Admit(id, 100, float64(id), []int{id % 3})
-		ft.Rate(id, float64(id), 1+float64(id%7), id%3, CauseSolve, 2, uint64(id), 0)
+		ft.Rate(id, float64(id), 1+float64(id%7), id%3, CauseSolve, 2, uint64(id))
 		ft.Complete(id, float64(id)+5)
 	}
 	close(done)

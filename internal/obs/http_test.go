@@ -31,15 +31,11 @@ func TestDebugEndpoints(t *testing.T) {
 	prog := &Progress{}
 	prog.Record(2.0, 1000, 50, 200)
 	prog.RecordBatch(4)
-	prog.RecordWindows(10, 35, 2)
-	prog.RecordGate(true)
-	prog.RecordGate(false)
-	prog.RecordGate(false)
 
 	ft := NewFlowTracer(FlowTraceConfig{SampleRate: 1})
 	ft.Bind([]float64{10, 10, 5})
 	ft.Admit(0, 1000, 0, []int{0, 2})
-	ft.Rate(0, 0, 2.5, 2, CauseSolve, 2, 1, 0)
+	ft.Rate(0, 0, 2.5, 2, CauseSolve, 2, 1)
 	ft.Complete(0, 3.2)
 
 	srv := httptest.NewServer(Handler(reg, prog, ft))
@@ -62,12 +58,6 @@ func TestDebugEndpoints(t *testing.T) {
 	}
 	if ps.SimSeconds < 1.99 || ps.SimSeconds > 2.01 {
 		t.Errorf("sim_seconds = %g, want ~2", ps.SimSeconds)
-	}
-	if ps.Windows != 10 || ps.AvgWindow != 3.5 || ps.WindowConflicts != 2 {
-		t.Errorf("window stats = %+v", ps)
-	}
-	if ps.GateSerial != 2 || ps.GateParallel != 1 {
-		t.Errorf("gate stats = %+v", ps)
 	}
 
 	var fs FlowsSnapshot

@@ -1,9 +1,9 @@
 // Package obs is the engine-wide observability layer: a phase-timing
 // profiler for the event loops, a registry of counters/gauges/
 // histograms with lock-cheap hot-path updates, Chrome-trace timeline
-// export for the parallel solves, a live progress snapshot, and a
-// debug HTTP endpoint (net/http/pprof, expvar, /metrics, /progress)
-// for long-running processes.
+// export for the event loop's batches and solves, a live progress
+// snapshot, and a debug HTTP endpoint (net/http/pprof, expvar,
+// /metrics, /progress) for long-running processes.
 //
 // Everything here is designed to cost nothing when disabled: the
 // engines hold nil hook pointers by default and guard every
@@ -12,8 +12,7 @@
 // pre-instrumentation throughput (pinned by the leap engine's
 // allocation-guard test and BenchmarkLeapFCT). When enabled, updates
 // are single atomic operations or one monotonic clock read per phase
-// boundary — cheap enough to leave on for the leapfct experiment and
-// the BENCH_leap.json record.
+// boundary — cheap enough to leave on for the leapfct experiment.
 package obs
 
 import "time"
@@ -34,8 +33,8 @@ func Now() int64 { return int64(time.Since(epoch)) }
 type Hooks struct {
 	// Profiler accumulates wall time per event-loop phase.
 	Profiler *PhaseProfiler
-	// Tracer records per-worker timeline spans (component solves,
-	// batches) for Chrome-trace export.
+	// Tracer records timeline spans (component solves, batches) for
+	// Chrome-trace export.
 	Tracer *Tracer
 	// Progress receives a lock-free live snapshot (virtual time,
 	// events, active flows) every event, for the /progress endpoint.

@@ -2,9 +2,9 @@ package obs
 
 // Phase identifies one segment of an engine's event loop. The phases
 // are chosen so that consecutive Lap calls tile the whole loop: the
-// sum over phases equals the wall time spent inside Run, which is
-// what lets BENCH_leap.json assert its breakdown covers ≥ 90% of each
-// run's wall clock.
+// sum over phases equals the wall time spent inside Run, so the
+// breakdown accounts for the whole run (TestPhaseCoverage in the leap
+// package pins ≥ 90% of its wall clock).
 type Phase uint8
 
 const (
@@ -19,11 +19,10 @@ const (
 	// touched flows into disjoint link-sharing components.
 	PhaseFlood
 	// PhaseSolve is the allocator solves plus the component-local rate
-	// install (the parallel section in multi-core runs).
+	// install.
 	PhaseSolve
-	// PhaseResplice is the completion-event resplice: scattering and
-	// applying the moved events to the per-shard heaps, plus stale
-	// sweeps.
+	// PhaseResplice is the completion-event resplice: applying the
+	// moved events to the heap, plus stale sweeps.
 	PhaseResplice
 	// PhaseComplete is the completion side: scanning heap tops,
 	// popping due events, and retiring finished flows.
@@ -31,17 +30,12 @@ const (
 	// PhaseDrain is horizon payload materialization — realizing the
 	// lazy drains when a finite deadline cuts a run short.
 	PhaseDrain
-	// PhaseWindow is PDES window collection: popping events forward in
-	// virtual time, trial-flooding their components, and testing the
-	// link-disjointness safety bound (windowed engines only).
-	PhaseWindow
 	// PhaseCount is the number of phases.
 	PhaseCount
 )
 
 var phaseNames = [PhaseCount]string{
 	"loop", "admit", "flood", "solve", "resplice", "complete", "drain",
-	"window",
 }
 
 // PhaseName returns the short lower-case name of a phase ("solve",
@@ -64,9 +58,7 @@ func PhaseName(p Phase) string {
 // path costs a predictable branch instead of a function call.
 //
 // A PhaseProfiler is single-threaded: it belongs to the engine's
-// event loop. Parallel work inside a phase (worker solves) is charged
-// to that phase as wall time, not CPU time — per-worker visibility is
-// the Tracer's job.
+// event loop.
 type PhaseProfiler struct {
 	last  int64
 	nanos [PhaseCount]int64
@@ -137,8 +129,7 @@ func (p *PhaseProfiler) Reset() {
 }
 
 // PhaseMap renders a per-phase nanosecond array as a name → nanos map
-// (zero phases omitted) — the JSON-friendly view leap.Stats and
-// BENCH_leap.json export.
+// (zero phases omitted) — the JSON-friendly view of leap.Stats.PhaseNanos.
 func PhaseMap(nanos [PhaseCount]int64) map[string]int64 {
 	m := make(map[string]int64, PhaseCount)
 	for ph, n := range nanos {

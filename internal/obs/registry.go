@@ -178,15 +178,10 @@ type EngineMetrics struct {
 	Allocs      *Counter
 	SolvedFlows *Counter
 	// BatchComponents observes each reallocation batch's disjoint
-	// component count — the parallelism the workload exposes.
+	// component count.
 	BatchComponents *Histogram
 	// ComponentFlows observes each solved component's flow count.
 	ComponentFlows *Histogram
-	// WindowEvents and WindowComponents observe each PDES window's
-	// width — completion events absorbed and disjoint components
-	// solved per window (windowed engines only; see leap.Config.Window).
-	WindowEvents     *Histogram
-	WindowComponents *Histogram
 	// Faults counts applied fault events (link failures + recoveries);
 	// Stranded and Resumed count flows driven to rate zero by dead
 	// capacity and brought back by recovery (see leap.Stats).
@@ -204,9 +199,6 @@ func NewEngineMetrics(r *Registry, prefix string) *EngineMetrics {
 		SolvedFlows:     r.Counter(prefix + ".solved_flows"),
 		BatchComponents: r.Histogram(prefix + ".batch_components"),
 		ComponentFlows:  r.Histogram(prefix + ".component_flows"),
-
-		WindowEvents:     r.Histogram(prefix + ".window_events"),
-		WindowComponents: r.Histogram(prefix + ".window_components"),
 
 		Faults:   r.Counter(prefix + ".faults"),
 		Stranded: r.Counter(prefix + ".stranded"),

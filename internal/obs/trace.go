@@ -16,10 +16,9 @@ type span struct {
 	arg   int64 // name-dependent payload (flows, components, ops)
 }
 
-// track is one timeline row (one worker, or the engine's event loop).
-// Each track is appended to by exactly one goroutine at a time — the
-// engine routes worker w's spans to track w+1 — so appends need no
-// lock.
+// track is one timeline row (the leap engine keeps its batch spans
+// on track 0 and its component solves on track 1). Each track is
+// appended to by one goroutine at a time, so appends need no lock.
 type track struct {
 	name  string
 	spans []span
@@ -27,8 +26,8 @@ type track struct {
 
 // Tracer accumulates timeline spans for Chrome-trace ("trace event
 // format") export: load the JSON in chrome://tracing or
-// ui.perfetto.dev and each parallel batch renders as per-worker
-// tracks of component-solve spans. Spans are bounded by MaxSpans per
+// ui.perfetto.dev and each batch renders above the component-solve
+// spans it ran. Spans are bounded by MaxSpans per
 // track; overflow increments a drop counter instead of growing
 // without bound on million-flow runs.
 type Tracer struct {
@@ -40,12 +39,11 @@ type Tracer struct {
 }
 
 // NewTracer returns an empty tracer. Tracks are created by
-// EnsureTracks (engines call it with their worker count at
-// construction).
+// EnsureTracks (engines call it at construction).
 func NewTracer() *Tracer { return &Tracer{} }
 
 // EnsureTracks grows the track table to n tracks. Not concurrency-
-// safe — call before handing the tracer to concurrent workers.
+// safe — call before any span is recorded.
 // Existing tracks (and their spans) are preserved, so successive runs
 // sharing a tracer land on one timeline.
 func (t *Tracer) EnsureTracks(n int) {
@@ -71,9 +69,8 @@ func (t *Tracer) Clock() int64 { return Now() }
 
 // Span records one interval [start, now) on track ti with a
 // name-dependent integer payload. Concurrent calls are safe as long
-// as each track has at most one writer (the engine's per-worker
-// routing guarantees it); spans to unknown tracks or past the cap are
-// counted as drops.
+// as each track has at most one writer; spans to unknown tracks or
+// past the cap are counted as drops.
 func (t *Tracer) Span(ti int, name string, start, arg int64) {
 	if t == nil {
 		return
@@ -136,7 +133,6 @@ func (t *Tracer) Dropped() int64 {
 var argKeys = map[string]string{
 	"solve":    "flows",
 	"batch":    "components",
-	"window":   "components",
 	"flood":    "seeds",
 	"resplice": "ops",
 }

@@ -337,12 +337,9 @@ func RunDynamicLeap(cfg DynamicConfig) DynamicResult {
 }
 
 // LeapStats is the leap engine's work telemetry — events, allocator
-// solves, flows per solve, touched-component sizes, event-batch widths
-// and parallel-solve counts, and the global-re-solve counterfactual —
-// surfaced on DynamicResult and IncastResult for leap runs.
-// DynamicConfig.Workers (or cmd/numfabric's -workers flag) bounds the
-// engine's concurrent solves of a batch's disjoint components; FCTs
-// are byte-identical for any worker count.
+// solves, flows per solve, touched-component sizes, event-batch
+// widths, and the global-re-solve counterfactual — surfaced on
+// DynamicResult and IncastResult for leap runs.
 type LeapStats = leap.Stats
 
 // FluidStats is the fluid epoch engine's work telemetry — epochs,
